@@ -26,7 +26,8 @@
 //! alerting plane's lead-time scorecards, plus the full wall-clock metrics
 //! registry), and `BENCH_query.json` with the resident query plane's
 //! open-loop throughput and latency quantiles. `ci/bench_budget.json` + the
-//! `bench_guard` binary turn the first into a CI regression gate.
+//! `bench_guard` binary turn the first into a CI regression gate. The
+//! process exits 1 if any of the four cannot be written.
 //!
 //! Setting `BYTEROBUST_PERSIST_DIR=<dir>` additionally writes the incident
 //! warehouse's persistence artifacts there (`warehouse.json` plus the
@@ -273,14 +274,23 @@ fn main() {
     perf.record("fig11_mfu", fig11_secs);
 
     let total = run_start.elapsed().as_secs_f64();
-    match perf.write_reproduce_json(fast, !serial, total) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_reproduce.json: {err}"),
-    }
-    match fleet_stats.write_fleet_json(Some(&mega_stats.bench)) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_fleet.json: {err}"),
-    }
+    let mut unwritten = Vec::new();
+    let mut note_write =
+        |name: &'static str, written: std::io::Result<std::path::PathBuf>| match written {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(err) => {
+                eprintln!("failed to write {name}: {err}");
+                unwritten.push(name);
+            }
+        };
+    note_write(
+        "BENCH_reproduce.json",
+        perf.write_reproduce_json(fast, !serial, total),
+    );
+    note_write(
+        "BENCH_fleet.json",
+        fleet_stats.write_fleet_json(Some(&mega_stats.bench)),
+    );
     // Merge the mega drill's self-profiling into the registry: its scheduler
     // op counters and its warehouse query-latency histograms sit alongside
     // the small drill's under their own names.
@@ -310,13 +320,11 @@ fn main() {
         alerts_json: alerts_stats.render_json(),
         metrics_json: registry.export_json(),
     };
-    match obs_bench.write_obs_json() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_obs.json: {err}"),
-    }
-    match query_stats.write_query_json() {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(err) => eprintln!("failed to write BENCH_query.json: {err}"),
-    }
+    note_write("BENCH_obs.json", obs_bench.write_obs_json());
+    note_write("BENCH_query.json", query_stats.write_query_json());
     eprintln!("reproduce finished in {total:.2}s (parallel = {})", !serial);
+    if !unwritten.is_empty() {
+        eprintln!("reproduce: could not write {}", unwritten.join(", "));
+        std::process::exit(1);
+    }
 }

@@ -1,8 +1,7 @@
 //! One function per paper table / figure.
 //!
 //! Each function runs the relevant workload on the simulator and renders the
-//! same rows or series the paper reports. See `DESIGN.md` §4 for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured numbers.
+//! same rows or series the paper reports.
 
 use std::collections::BTreeMap;
 

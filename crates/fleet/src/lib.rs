@@ -72,6 +72,7 @@
 
 pub mod broker;
 pub mod drainer;
+mod index;
 pub mod ledger;
 pub mod query;
 pub mod report;

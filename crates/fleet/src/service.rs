@@ -27,14 +27,26 @@
 //!
 //! # Planner
 //!
+//! No snapshot builds an index of its own. A publish captures the
+//! warehouse's own posting index (`crate::index::PostingIndex`, behind
+//! `Arc<RwLock<_>>`) beside the shard heads, and every snapshot of the
+//! service shares it. The writer keeps inserting into that index after the
+//! publish, so it may hold keys a snapshot must not see: a snapshot skips
+//! every key whose in-shard position is at or past its own length for that
+//! shard. When the index holds exactly the snapshot's lengths (always, once
+//! the run is sealed) the filter is skipped.
+//!
 //! A query is answered through one of the four secondary indexes — machine,
 //! category, severity floor, time bucket — chosen by **estimated
-//! selectivity** (posting-list lengths, which the index knows exactly),
-//! falling back to a full scan when no index applies. Whatever the plan, the
-//! residual conjunctive filter (`byterobust_incident::filter::matches`) is
-//! applied and hits come back in canonical (start time, job, seq) order, so
-//! every plan is answer-equivalent to `EpochSnapshot::linear_scan` — the
-//! retained brute-force oracle, pinned byte-identical at every epoch by the
+//! selectivity** (visible posting-list lengths, which the index counts
+//! exactly at any epoch), falling back to a full scan when no index
+//! applies. Readers hold the index's read lock only while the planner
+//! copies candidate keys out; merging, resolving (by in-shard position) and
+//! rendering happen after it is released. Whatever the plan, the residual
+//! conjunctive filter (`byterobust_incident::filter::matches`) is applied
+//! and hits come back in canonical (start time, job, seq) order, so every
+//! plan is answer-equivalent to `EpochSnapshot::linear_scan` — the retained
+//! brute-force oracle, pinned byte-identical at every epoch by the
 //! planner-equivalence tests.
 //!
 //! # Segment cache (LRU)
@@ -61,54 +73,18 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId};
 use byterobust_incident::filter;
 use byterobust_incident::{IncidentDossier, IncidentQuery, IncidentStore, Severity};
 use byterobust_obs::{HistogramSnapshot, LatencyHistogram};
-use byterobust_sim::{SimDuration, SimRng, SimTime};
+use byterobust_sim::{SimRng, SimTime};
 
+pub use crate::index::PlanChoice;
+use crate::index::{merge_sorted, DossierKey, PostingIndex};
 use crate::query::{FleetQuery, QueryResponse, WarehouseDigest};
-use crate::warehouse::{
-    bucket_index_of, load_segment_at_least, IncidentWarehouse, ShardContent, ShardHead,
-};
-
-/// Which access path the planner chose for one incidents/dossiers query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanChoice {
-    /// The machine posting list.
-    Machine,
-    /// The category posting list.
-    Category,
-    /// The merged severity-floor posting lists.
-    SeverityFloor,
-    /// The time-bucket range.
-    TimeBucket,
-    /// Full scan over every shard prefix.
-    Scan,
-}
-
-impl PlanChoice {
-    /// Stable label for stats and telemetry.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlanChoice::Machine => "machine",
-            PlanChoice::Category => "category",
-            PlanChoice::SeverityFloor => "severity_floor",
-            PlanChoice::TimeBucket => "time_bucket",
-            PlanChoice::Scan => "scan",
-        }
-    }
-
-    const ALL: [PlanChoice; 5] = [
-        PlanChoice::Machine,
-        PlanChoice::Category,
-        PlanChoice::SeverityFloor,
-        PlanChoice::TimeBucket,
-        PlanChoice::Scan,
-    ];
-}
+use crate::warehouse::{load_segment_at_least, IncidentWarehouse, ShardContent, ShardHead};
 
 /// Counters describing what the segment cache has done. Wall-clock
 /// self-profiling domain — never rendered into the deterministic report.
@@ -262,39 +238,21 @@ pub struct EpochStamp {
     pub shard_lens: Vec<usize>,
 }
 
-/// Canonical sort key within a snapshot: (start time, job label, seq).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SnapKey {
-    at: SimTime,
-    shard: usize,
-    seq: u64,
-}
-
-/// The four secondary indexes of one epoch, rebuilt lazily from the shard
-/// prefixes on first indexed query (posting lists over [`SnapKey`]s, each in
-/// canonical order). Built through the same shared filter core as the
-/// warehouse's live indexes, so the two cannot drift.
-struct SnapshotIndex {
-    by_machine: BTreeMap<MachineId, Vec<SnapKey>>,
-    by_severity: BTreeMap<Severity, Vec<SnapKey>>,
-    by_category: BTreeMap<FaultCategory, Vec<SnapKey>>,
-    by_bucket: BTreeMap<u64, Vec<SnapKey>>,
-}
-
 /// One pinned epoch: an immutable, snapshot-isolated view of the warehouse
 /// as of that epoch's publish. Cheap to hold (shard heads are `Arc`s or
 /// segment paths), safe to query from any thread.
 pub struct EpochSnapshot {
     epoch: u64,
-    bucket_width: SimDuration,
     /// Shard heads from a capture at this epoch *or any later one* — the
     /// prefix lengths in `lens` carve this epoch's exact content out.
     heads: Arc<Vec<ShardHead>>,
     /// Per-shard content length at this epoch. Shorter than `heads` when
     /// shards were created after this epoch (their length here is 0).
     lens: Vec<usize>,
+    /// The warehouse's posting index, shared by every snapshot of the
+    /// service and possibly ahead of this epoch (see the module docs).
+    index: Arc<RwLock<PostingIndex>>,
     cache: Arc<ShardCache>,
-    index: OnceLock<SnapshotIndex>,
 }
 
 impl std::fmt::Debug for EpochSnapshot {
@@ -338,199 +296,37 @@ impl EpochSnapshot {
         }
     }
 
-    fn canonical<'a>(&'a self, key: &SnapKey) -> (SimTime, &'a str, u64) {
-        (key.at, self.label(key.shard), key.seq)
-    }
-
-    fn index(&self) -> &SnapshotIndex {
-        self.index.get_or_init(|| {
-            let mut by_machine: BTreeMap<MachineId, Vec<SnapKey>> = BTreeMap::new();
-            let mut by_severity: BTreeMap<Severity, Vec<SnapKey>> = BTreeMap::new();
-            let mut by_category: BTreeMap<FaultCategory, Vec<SnapKey>> = BTreeMap::new();
-            let mut by_bucket: BTreeMap<u64, Vec<SnapKey>> = BTreeMap::new();
-            let mut machines = Vec::new();
-            // Shards are streamed one at a time: only keys survive, so a
-            // build over spilled history stays within the cache budget.
-            for shard in 0..self.heads.len() {
-                let len = self.shard_len(shard);
-                if len == 0 {
-                    continue;
-                }
-                let store = self.store(shard);
-                for dossier in &store.all()[..len] {
-                    let key = SnapKey {
-                        at: dossier.at,
-                        shard,
-                        seq: dossier.seq,
-                    };
-                    filter::implicated_machines_into(dossier, &mut machines);
-                    for &machine in &machines {
-                        by_machine.entry(machine).or_default().push(key);
-                    }
-                    by_severity
-                        .entry(dossier.classification.severity)
-                        .or_default()
-                        .push(key);
-                    by_category.entry(dossier.category).or_default().push(key);
-                    by_bucket
-                        .entry(bucket_index_of(self.bucket_width, dossier.at))
-                        .or_default()
-                        .push(key);
-                }
-            }
-            for list in by_machine
-                .values_mut()
-                .chain(by_severity.values_mut())
-                .chain(by_category.values_mut())
-                .chain(by_bucket.values_mut())
-            {
-                list.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
-            }
-            SnapshotIndex {
-                by_machine,
-                by_severity,
-                by_category,
-                by_bucket,
-            }
-        })
-    }
-
-    /// Chooses the access path by estimated selectivity: every applicable
-    /// index's candidate count is known exactly from its posting-list
-    /// lengths, the smallest wins (ties break in machine > category >
-    /// severity > bucket order for determinism), and a query no index
-    /// applies to scans. Returns the choice and the canonically ordered
-    /// candidate keys.
-    fn plan(&self, query: &IncidentQuery) -> (PlanChoice, Vec<SnapKey>) {
-        let index = self.index();
-        let mut best: Option<(usize, usize, PlanChoice)> = None;
-        let mut consider = |estimate: usize, order: usize, choice: PlanChoice| {
-            if best.is_none_or(|(e, o, _)| (estimate, order) < (e, o)) {
-                best = Some((estimate, order, choice));
-            }
-        };
-        if let Some(machine) = query.machine {
-            let estimate = index.by_machine.get(&machine).map_or(0, Vec::len);
-            consider(estimate, 0, PlanChoice::Machine);
-        }
-        if let Some(category) = query.category {
-            let estimate = index.by_category.get(&category).map_or(0, Vec::len);
-            consider(estimate, 1, PlanChoice::Category);
-        }
-        if let Some(floor) = query.min_severity {
-            let estimate = index
-                .by_severity
-                .iter()
-                .filter(|(severity, _)| severity.is_at_least(floor))
-                .map(|(_, keys)| keys.len())
-                .sum();
-            consider(estimate, 2, PlanChoice::SeverityFloor);
-        }
-        if let Some((from, to)) = query.window {
-            if from >= to {
-                return (PlanChoice::TimeBucket, Vec::new());
-            }
-            let estimate = index
-                .by_bucket
-                .range(
-                    bucket_index_of(self.bucket_width, from)
-                        ..=bucket_index_of(self.bucket_width, to),
-                )
-                .map(|(_, keys)| keys.len())
-                .sum();
-            consider(estimate, 3, PlanChoice::TimeBucket);
-        }
-        let Some((_, _, choice)) = best else {
-            return (PlanChoice::Scan, self.scan_keys(query));
-        };
-        let keys = match choice {
-            PlanChoice::Machine => index
-                .by_machine
-                .get(&query.machine.expect("machine plan has a machine"))
-                .cloned()
-                .unwrap_or_default(),
-            PlanChoice::Category => index
-                .by_category
-                .get(&query.category.expect("category plan has a category"))
-                .cloned()
-                .unwrap_or_default(),
-            PlanChoice::SeverityFloor => {
-                let floor = query.min_severity.expect("severity plan has a floor");
-                let mut keys: Vec<SnapKey> = index
-                    .by_severity
-                    .iter()
-                    .filter(|(severity, _)| severity.is_at_least(floor))
-                    .flat_map(|(_, keys)| keys.iter().copied())
-                    .collect();
-                keys.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
-                keys
-            }
-            PlanChoice::TimeBucket => {
-                let (from, to) = query.window.expect("bucket plan has a window");
-                // Over-inclusive at both edges; the residual filter enforces
-                // the exact half-open window. Concatenation in ascending
-                // bucket order is already canonical (bucket time ranges are
-                // disjoint and increasing).
-                index
-                    .by_bucket
-                    .range(
-                        bucket_index_of(self.bucket_width, from)
-                            ..=bucket_index_of(self.bucket_width, to),
-                    )
-                    .flat_map(|(_, keys)| keys.iter().copied())
-                    .collect()
-            }
-            PlanChoice::Scan => unreachable!("scan is the fallback, never the best index"),
-        };
-        (choice, keys)
-    }
-
-    /// Every dossier at this epoch as canonically sorted keys (the scan
-    /// plan's candidate set).
-    fn scan_keys(&self, _query: &IncidentQuery) -> Vec<SnapKey> {
-        let mut keys = Vec::with_capacity(self.total());
-        for shard in 0..self.heads.len() {
-            let len = self.shard_len(shard);
-            if len == 0 {
-                continue;
-            }
-            let store = self.store(shard);
-            keys.extend(store.all()[..len].iter().map(|dossier| SnapKey {
-                at: dossier.at,
-                shard,
-                seq: dossier.seq,
-            }));
-        }
-        keys.sort_by(|a, b| self.canonical(a).cmp(&self.canonical(b)));
-        keys
+    /// Chooses the access path by estimated selectivity (see
+    /// `PostingIndex::plan`) and returns the choice with the canonically
+    /// ordered candidate keys visible at this epoch. The read lock is held
+    /// only while the keys are copied out.
+    fn plan(&self, query: &IncidentQuery) -> (PlanChoice, Vec<DossierKey>) {
+        let (choice, lists) = self
+            .index
+            .read()
+            .expect("posting index lock")
+            .plan(query, Some(&self.lens));
+        (choice, merge_sorted(lists, |shard| self.label(shard)))
     }
 
     /// Resolves candidate keys against the shard prefixes, applies the
     /// residual filter, and builds the response (summary rows or full
     /// dossiers). Stores are pinned once per shard for the resolve.
-    fn resolve(&self, keys: &[SnapKey], query: &IncidentQuery, full: bool) -> QueryResponse {
+    fn resolve(&self, keys: &[DossierKey], query: &IncidentQuery, full: bool) -> QueryResponse {
         let mut stores: Vec<Option<Arc<IncidentStore>>> = vec![None; self.heads.len()];
         let mut rows = Vec::new();
         let mut dossiers = Vec::new();
         for key in keys {
-            let slot = &mut stores[key.shard];
-            if slot.is_none() {
-                *slot = Some(self.store(key.shard));
-            }
-            let store = slot.as_deref().expect("slot was just filled");
-            let dossier = store
-                .get(key.seq)
-                .expect("indexed dossier is present in its shard prefix");
+            let shard = key.shard as usize;
+            let store = stores[shard].get_or_insert_with(|| self.store(shard));
+            let dossier = store.all()[key.pos as usize].as_ref();
             if !filter::matches(query, dossier) {
                 continue;
             }
             if full {
-                dossiers.push((self.label(key.shard).to_string(), dossier.clone()));
+                dossiers.push((self.label(shard).to_string(), dossier.clone()));
             } else {
-                rows.push(crate::query::IncidentRow::of(
-                    self.label(key.shard),
-                    dossier,
-                ));
+                rows.push(crate::query::IncidentRow::of(self.label(shard), dossier));
             }
         }
         if full {
@@ -542,7 +338,7 @@ impl EpochSnapshot {
 
     /// Answers one warehouse-backed query through the planner. Returns the
     /// response and the plan the planner chose (`None` for the digest arm,
-    /// which reads the index histograms directly). Trace/alert arms are not
+    /// which counts the visible posting lists directly). Trace/alert arms are not
     /// warehouse-backed and return `None` — they are served post-hoc by
     /// [`FleetReport::answer`](crate::report::FleetReport::answer).
     pub fn answer(&self, query: &FleetQuery) -> Option<(QueryResponse, Option<PlanChoice>)> {
@@ -630,9 +426,15 @@ impl EpochSnapshot {
     }
 
     /// The digest at this epoch, from the index histograms (counts are
-    /// posting-list lengths — no shard content is touched).
+    /// visible posting-list lengths — no shard content is touched).
     pub fn digest(&self) -> WarehouseDigest {
-        let index = self.index();
+        let (severity, category) = {
+            let index = self.index.read().expect("posting index lock");
+            (
+                index.severity_counts(Some(&self.lens)),
+                index.category_counts(Some(&self.lens)),
+            )
+        };
         let mut jobs: Vec<(String, u64)> = (0..self.heads.len())
             .filter(|&shard| self.shard_len(shard) > 0)
             .map(|shard| (self.label(shard).to_string(), self.shard_len(shard) as u64))
@@ -641,15 +443,13 @@ impl EpochSnapshot {
         WarehouseDigest {
             total: self.total() as u64,
             jobs,
-            severity: index
-                .by_severity
-                .iter()
-                .map(|(&severity, keys)| (severity, keys.len() as u64))
+            severity: severity
+                .into_iter()
+                .map(|(severity, count)| (severity, count as u64))
                 .collect(),
-            category: index
-                .by_category
-                .iter()
-                .map(|(&category, keys)| (category, keys.len() as u64))
+            category: category
+                .into_iter()
+                .map(|(category, count)| (category, count as u64))
                 .collect(),
         }
     }
@@ -672,7 +472,6 @@ pub struct ServiceStats {
 }
 
 struct ServiceState {
-    bucket_width: SimDuration,
     latest: Option<Arc<EpochSnapshot>>,
     stamps: Vec<EpochStamp>,
 }
@@ -723,7 +522,6 @@ impl WarehouseService {
             shared: Arc::new(ServiceShared {
                 cache: Arc::new(ShardCache::new(cache_budget)),
                 state: RwLock::new(ServiceState {
-                    bucket_width: SimDuration::from_hours(1),
                     latest: None,
                     stamps: Vec::new(),
                 }),
@@ -745,12 +543,13 @@ impl WarehouseService {
     /// Publishes the warehouse's current content as the next epoch. Called
     /// by the runner after every insert batch (and once before the first
     /// event, and once after the last); costs one `Arc` clone per resident
-    /// shard. Returns the published epoch number.
+    /// shard plus one for the warehouse's posting index. Returns the
+    /// published epoch number.
     pub fn publish(&self, warehouse: &IncidentWarehouse) -> u64 {
         let heads = warehouse.epoch_heads();
+        let index = warehouse.posting_index();
         let lens: Vec<usize> = heads.iter().map(|head| head.len).collect();
         let mut state = self.shared.state.write().expect("service state lock");
-        state.bucket_width = warehouse.bucket_width();
         let epoch = state.stamps.len() as u64;
         state.stamps.push(EpochStamp {
             epoch,
@@ -758,11 +557,10 @@ impl WarehouseService {
         });
         state.latest = Some(Arc::new(EpochSnapshot {
             epoch,
-            bucket_width: warehouse.bucket_width(),
             heads: Arc::new(heads),
             lens,
+            index,
             cache: Arc::clone(&self.shared.cache),
-            index: OnceLock::new(),
         }));
         epoch
     }
@@ -799,9 +597,9 @@ impl WarehouseService {
     }
 
     /// Pins a snapshot of any published epoch — the latest directly, any
-    /// earlier one re-derived from the latest heads plus the epoch's
-    /// recorded per-shard lengths (valid because per-shard content at epoch
-    /// `N` is a prefix of every later capture). This is the post-hoc read
+    /// earlier one re-derived from the latest heads and posting index plus
+    /// the epoch's recorded per-shard lengths (valid because per-shard
+    /// content at epoch `N` is a prefix of every later capture). This is the post-hoc read
     /// path of the live-vs-post-hoc oracle: it reaches the same answers
     /// through a different head capture than the live reader used.
     pub fn snapshot_at(&self, epoch: u64) -> Option<Arc<EpochSnapshot>> {
@@ -813,11 +611,10 @@ impl WarehouseService {
         }
         Some(Arc::new(EpochSnapshot {
             epoch,
-            bucket_width: state.bucket_width,
             heads: Arc::clone(&latest.heads),
             lens: stamp.shard_lens.clone(),
+            index: Arc::clone(&latest.index),
             cache: Arc::clone(&self.shared.cache),
-            index: OnceLock::new(),
         }))
     }
 
@@ -1027,6 +824,7 @@ mod tests {
         ClassificationInput, ClassificationMatrix, IncidentCapture, ResolutionMechanism,
     };
     use byterobust_recovery::FailoverCost;
+    use byterobust_sim::SimDuration;
 
     fn dossier(
         seq: u64,
@@ -1228,6 +1026,101 @@ mod tests {
             assert_eq!(&replay, live, "post-hoc epoch {epoch} diverged from live");
         }
         assert!(service.snapshot_at(99).is_none());
+    }
+
+    #[test]
+    fn dossier_keys_stay_24_bytes() {
+        assert_eq!(std::mem::size_of::<DossierKey>(), 24);
+    }
+
+    /// Every probe's answer and plan on one snapshot, checked against the
+    /// snapshot's own linear-scan oracle on the way.
+    fn answers_checked_against_the_oracle(
+        snapshot: &EpochSnapshot,
+    ) -> Vec<(String, Option<PlanChoice>)> {
+        probes()
+            .iter()
+            .map(|query| {
+                let (planned, choice) = snapshot.answer(query).expect("warehouse-backed arm");
+                let oracle = snapshot.oracle_answer(query).expect("warehouse-backed arm");
+                assert_eq!(
+                    planned.render(),
+                    oracle.render(),
+                    "epoch {}: plan/oracle drift on {query:?}",
+                    snapshot.epoch()
+                );
+                (planned.render(), choice)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshots_behind_the_shared_index_see_exactly_their_epoch() {
+        let dir = std::env::temp_dir().join(format!(
+            "byterobust-service-test-behind-{}",
+            std::process::id()
+        ));
+        let mut warehouse = filled_spillable(&dir);
+        let service = WarehouseService::new(1 << 16);
+        // Each step runs after a publish and before the snapshot of that
+        // publish is read, so every read but the last finds the shared index
+        // ahead of its epoch. Early start times land the new keys mid-list.
+        let steps: [&dyn Fn(&mut IncidentWarehouse); 4] = [
+            // More dossiers on an existing shard.
+            &|w| {
+                w.insert(
+                    "job-0",
+                    dossier(9, 9, FaultKind::JobHang, vec![MachineId(3)]),
+                );
+                w.insert(
+                    "job-0",
+                    dossier(10, 10, FaultKind::CudaError, vec![MachineId(0)]),
+                );
+            },
+            // A shard that did not exist at the epoch, with a category no
+            // earlier dossier has (the digest must not list it).
+            &|w| {
+                w.insert(
+                    "job-10",
+                    dossier(1, 2, FaultKind::CodeDataAdjustment, vec![]),
+                );
+            },
+            // Everything spilled, then an insert that faults a shard back.
+            &|w| {
+                w.flush_to_disk();
+                w.insert(
+                    "job-1",
+                    dossier(9, 12, FaultKind::InfinibandError, vec![MachineId(1)]),
+                );
+            },
+            &|w| {
+                w.insert(
+                    "job-2",
+                    dossier(9, 15, FaultKind::GpuMemoryError, vec![MachineId(3)]),
+                );
+            },
+        ];
+        let mut live = Vec::new();
+        for step in steps {
+            service.publish(&warehouse);
+            let pinned = service.latest().expect("published");
+            step(&mut warehouse);
+            live.push(answers_checked_against_the_oracle(&pinned));
+        }
+        service.publish(&warehouse);
+        service.seal();
+        live.push(answers_checked_against_the_oracle(
+            &service.latest().expect("published"),
+        ));
+        for (epoch, answers) in live.iter().enumerate() {
+            let replay = service.snapshot_at(epoch as u64).expect("published epoch");
+            assert_eq!(
+                &answers_checked_against_the_oracle(&replay),
+                answers,
+                "post-hoc epoch {epoch} diverged from its live read"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! queries and postmortems keep working), while four secondary indexes — by
 //! machine, by severity, by category, and by time bucket — map straight to
 //! dossier references so fleet-wide queries are index lookups instead of
-//! scans over every shard. [`IncidentWarehouse::linear_scan`] is the
-//! brute-force oracle the tests compare the indexed paths against.
+//! scans over every shard. The indexes live in one `PostingIndex`
+//! (`crate::index`) behind `Arc<RwLock<_>>`, shared with every epoch
+//! snapshot of the resident query plane; the warehouse is its only writer.
+//! [`IncidentWarehouse::linear_scan`] is the brute-force oracle the tests
+//! compare the indexed paths against.
 //!
 //! Results are always returned in a canonical order — (start time, job
 //! label, seq) — which makes warehouse output independent of shard insertion
@@ -19,7 +22,8 @@
 //! label, seq) order *at insert time*, so queries merge already-sorted runs
 //! instead of re-sorting every result set. Two facts make maintenance cheap:
 //! per shard, dossiers arrive in ascending `seq` with non-decreasing start
-//! times (a job's incidents close in time order — asserted on insert), and a
+//! times (a job's incidents close in time order — asserted on insert, in
+//! release builds too, against the shard's cached last `(at, seq)`), and a
 //! fleet run inserts across shards in non-decreasing start-time order, so
 //! the canonical insertion point is almost always the tail.
 //!
@@ -31,14 +35,14 @@
 //! in) are written to self-describing JSON segment files under `spill_dir`
 //! (`segment-NNNN.json`, via the in-repo codec in
 //! `byterobust_incident::codec`) and dropped from memory. The four secondary
-//! indexes stay hot — every `DossierKey` carries the start time, shard,
-//! and seq a query needs to plan — and a query that resolves a key into a
-//! spilled shard *faults the whole shard back in* transparently (`&self`,
-//! via a per-shard `OnceLock`, so reports stay `Send + Sync`). Spill is
-//! invisible to results by
-//! construction: the codec round-trip is exact, so queries and rendered
-//! reports are byte-identical with spill on or off (pinned by the oracle
-//! tests and the `persistence-roundtrip` CI job).
+//! indexes stay hot — every `DossierKey` carries the start time, seq, shard
+//! and in-shard position a query needs to plan and resolve — and a query
+//! that resolves a key into a spilled shard *faults the whole shard back in*
+//! transparently (`&self`, via a per-shard `OnceLock`, so reports stay
+//! `Send + Sync`). Spill is invisible to results by construction: the codec
+//! round-trip is exact, so queries and rendered reports are byte-identical
+//! with spill on or off (pinned by the oracle tests and the
+//! `persistence-roundtrip` CI job).
 //!
 //! # Copy-on-write shard heads
 //!
@@ -51,7 +55,8 @@
 //! Because per-shard insertion is strictly append-ordered (ascending `seq`,
 //! non-decreasing time — asserted), the content of any shard at epoch `N`
 //! is a *prefix* of its content at every later epoch, which is what the
-//! snapshot plane's prefix-truncated reads and its segment cache rely on.
+//! snapshot plane's prefix-truncated reads, its segment cache, and its
+//! reuse of the warehouse's own posting index rely on.
 //! Segment files are written via a temp-file + atomic rename so a
 //! concurrent snapshot reader faulting a segment in never observes a torn
 //! write.
@@ -64,20 +69,21 @@
 //! (reads never evict — they hold `&self`); the next insert re-spills down
 //! to budget.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use byterobust_cluster::{FaultCategory, FaultKind, MachineId};
-use byterobust_incident::codec::{check_format, CodecError, Encode, JsonValue, FORMAT_VERSION};
+use byterobust_incident::codec::{
+    check_format, CodecError, Encode, ErrorPosition, JsonValue, FORMAT_VERSION,
+};
 use byterobust_incident::{IncidentDossier, IncidentQuery, IncidentStore, Postmortem, Severity};
 use byterobust_obs::{HistogramSnapshot, LatencyHistogram};
 use byterobust_sim::{SimDuration, SimTime};
+
+use crate::index::{merge_sorted, DossierKey, PostingIndex};
 
 /// Format header of one spilled shard segment file.
 pub const SEGMENT_FORMAT: &str = "byterobust-warehouse-segment";
@@ -128,17 +134,6 @@ pub struct SpillStats {
     pub fault_in_bytes: u64,
 }
 
-/// Reference to one dossier: shard index plus the dossier's seq within it
-/// (resolved by the store's binary-searched `get`), plus the dossier's start
-/// time so posting lists can be kept canonically ordered without chasing the
-/// shard on every comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DossierKey {
-    at: SimTime,
-    shard: usize,
-    seq: u64,
-}
-
 /// One per-job shard. The label, cached length, and recency stamp always
 /// stay in memory; the store itself is either resident (in the `OnceLock`,
 /// behind an `Arc` so epoch snapshots can share the head copy-on-write)
@@ -151,6 +146,9 @@ struct Shard {
     /// Dossier count, maintained on insert so `len()` and spill accounting
     /// never touch (or fault in) the store.
     len: usize,
+    /// `(at, seq)` of the last dossier appended, so the append-order check
+    /// never touches (or faults in) the store either.
+    last: Option<(SimTime, u64)>,
     /// Monotone recency stamp, bumped on insert; the smallest stamp is the
     /// coldest shard and spills first. (Fault-ins hold `&self` and do not
     /// refresh it: recency means insert recency.)
@@ -183,11 +181,6 @@ pub(crate) enum ShardContent {
     Spilled(PathBuf),
 }
 
-/// The canonical comparison tuple for a key: (start time, job label, seq).
-fn canonical(shards: &[Shard], key: DossierKey) -> (SimTime, &str, u64) {
-    (key.at, shards[key.shard].label.as_str(), key.seq)
-}
-
 /// One query result: the job the incident belongs to, and its dossier.
 #[derive(Debug, Clone, Copy)]
 pub struct WarehouseHit<'a> {
@@ -214,12 +207,9 @@ pub struct IncidentWarehouse {
     /// Label → shard index, so the per-insert shard lookup is a map probe
     /// instead of a linear scan over every job label.
     shard_by_label: BTreeMap<String, usize>,
-    by_machine: BTreeMap<MachineId, Vec<DossierKey>>,
-    by_severity: BTreeMap<Severity, Vec<DossierKey>>,
-    by_category: BTreeMap<FaultCategory, Vec<DossierKey>>,
-    by_bucket: BTreeMap<u64, Vec<DossierKey>>,
-    /// Reused per-insert buffer for the implicated-machine set.
-    machine_scratch: Vec<MachineId>,
+    /// The secondary indexes, shared with every epoch snapshot published
+    /// from this warehouse (see `crate::index`). Only inserts write it.
+    index: Arc<RwLock<PostingIndex>>,
     /// Recency clock for the spill policy.
     touch_clock: u64,
     /// Segment files written so far.
@@ -258,6 +248,7 @@ impl Clone for IncidentWarehouse {
                 Shard {
                     label: shard.label.clone(),
                     len: shard.len,
+                    last: shard.last,
                     last_touch: shard.last_touch,
                     resident,
                     segment: None,
@@ -269,11 +260,9 @@ impl Clone for IncidentWarehouse {
             storage: None,
             shards,
             shard_by_label: self.shard_by_label.clone(),
-            by_machine: self.by_machine.clone(),
-            by_severity: self.by_severity.clone(),
-            by_category: self.by_category.clone(),
-            by_bucket: self.by_bucket.clone(),
-            machine_scratch: Vec::new(),
+            // A deep copy under a fresh lock: the clone's inserts must not
+            // show through snapshots of the original, nor the reverse.
+            index: Arc::new(RwLock::new(self.read_index().clone())),
             touch_clock: self.touch_clock,
             segments_written: self.segments_written,
             spill_bytes_written: self.spill_bytes_written,
@@ -307,11 +296,7 @@ impl IncidentWarehouse {
             storage,
             shards: Vec::new(),
             shard_by_label: BTreeMap::new(),
-            by_machine: BTreeMap::new(),
-            by_severity: BTreeMap::new(),
-            by_category: BTreeMap::new(),
-            by_bucket: BTreeMap::new(),
-            machine_scratch: Vec::new(),
+            index: Arc::new(RwLock::new(PostingIndex::new(bucket_width))),
             touch_clock: 0,
             segments_written: 0,
             spill_bytes_written: 0,
@@ -352,8 +337,14 @@ impl IncidentWarehouse {
         stats
     }
 
-    fn bucket_of(&self, at: SimTime) -> u64 {
-        bucket_index_of(self.bucket_width, at)
+    fn read_index(&self) -> RwLockReadGuard<'_, PostingIndex> {
+        self.index.read().expect("posting index lock")
+    }
+
+    /// The shared posting index, captured by an epoch publish beside the
+    /// shard heads.
+    pub(crate) fn posting_index(&self) -> Arc<RwLock<PostingIndex>> {
+        Arc::clone(&self.index)
     }
 
     /// Captures every shard's head for an epoch publish: resident shards as
@@ -390,6 +381,7 @@ impl IncidentWarehouse {
                 self.shards.push(Shard {
                     label: job.to_string(),
                     len: 0,
+                    last: None,
                     last_touch: self.touch_clock,
                     resident,
                     segment: None,
@@ -558,7 +550,12 @@ impl IncidentWarehouse {
     /// Inserts one closed incident into the named job's shard and every
     /// secondary index. Posting lists stay canonically ordered (see the
     /// module docs); per shard, dossiers must arrive in ascending `seq` with
-    /// non-decreasing start times (asserted).
+    /// non-decreasing start times.
+    ///
+    /// # Panics
+    ///
+    /// If `dossier` would not be appended in that order: a mid-shard insert
+    /// would move the positions every published snapshot resolves by.
     pub fn insert(&mut self, job: &str, dossier: IncidentDossier) {
         self.insert_shared(job, Arc::new(dossier));
     }
@@ -567,46 +564,34 @@ impl IncidentWarehouse {
     /// behind an `Arc` (typically the job's own incident store): the shard
     /// keeps a reference to the same allocation instead of a deep copy.
     pub fn insert_shared(&mut self, job: &str, dossier: Arc<IncidentDossier>) {
-        let shard = self.shard_index(job);
-        debug_assert!(
-            self.store_for(shard)
-                .all()
-                .last()
-                .is_none_or(|prev| prev.seq < dossier.seq && prev.at <= dossier.at),
-            "per-shard insertions must be in ascending seq / non-decreasing time order"
-        );
-        let key = DossierKey {
-            at: dossier.at,
-            shard,
-            seq: dossier.seq,
-        };
-        let bucket = self.bucket_of(dossier.at);
-        // Machine index: same "involves" semantics as `IncidentQuery::machine`
-        // — the shared filter core is the single source of that set, gathered
-        // into a reused scratch buffer.
-        let mut machines = std::mem::take(&mut self.machine_scratch);
-        byterobust_incident::filter::implicated_machines_into(dossier.as_ref(), &mut machines);
-        let shards = &self.shards;
-        let post = |postings: &mut Vec<DossierKey>| {
-            let target = canonical(shards, key);
-            let pos = postings.partition_point(|&k| canonical(shards, k) <= target);
-            postings.insert(pos, key);
-        };
-        for &machine in &machines {
-            post(self.by_machine.entry(machine).or_default());
+        if let Some(problem) = self.append_order_error(job, &dossier) {
+            panic!("per-shard insertions must be in ascending seq / non-decreasing time order: {problem}");
         }
-        self.machine_scratch = machines;
-        post(
-            self.by_severity
-                .entry(dossier.classification.severity)
-                .or_default(),
-        );
-        post(self.by_category.entry(dossier.category).or_default());
-        post(self.by_bucket.entry(bucket).or_default());
+        let shard = self.shard_index(job);
+        {
+            let shards = &self.shards;
+            let mut index = self.index.write().expect("posting index lock");
+            index.insert(shard, &dossier, |s| shards[s].label.as_str());
+        }
+        self.shards[shard].last = Some((dossier.at, dossier.seq));
         self.store_mut_for(shard).insert_shared(dossier);
         self.shards[shard].len += 1;
         self.touch(shard);
         self.enforce_budget();
+    }
+
+    /// Why `dossier` cannot be appended to `job`'s shard, if it cannot: its
+    /// seq must exceed, and its start time must not precede, the shard's
+    /// last dossier.
+    fn append_order_error(&self, job: &str, dossier: &IncidentDossier) -> Option<String> {
+        let &index = self.shard_by_label.get(job)?;
+        let (at, seq) = self.shards[index].last?;
+        (seq >= dossier.seq || at > dossier.at).then(|| {
+            format!(
+                "shard `{job}` ends with #{seq} at {at}; #{} at {} cannot follow it",
+                dossier.seq, dossier.at
+            )
+        })
     }
 
     /// Ingests a whole per-job store (e.g. from a finished
@@ -649,12 +634,10 @@ impl IncidentWarehouse {
     }
 
     fn resolve(&self, key: DossierKey) -> WarehouseHit<'_> {
-        let store = self.store_for(key.shard);
+        let shard = key.shard as usize;
         WarehouseHit {
-            job: &self.shards[key.shard].label,
-            dossier: store
-                .get(key.seq)
-                .expect("indexed dossier is present in its shard"),
+            job: &self.shards[shard].label,
+            dossier: &self.store_for(shard).all()[key.pos as usize],
         }
     }
 
@@ -682,55 +665,14 @@ impl IncidentWarehouse {
         hits
     }
 
-    /// K-way merge of canonically sorted key lists into one canonically
-    /// sorted list.
-    fn merge_sorted(&self, lists: Vec<Vec<DossierKey>>) -> Vec<DossierKey> {
-        let mut lists: Vec<Vec<DossierKey>> = lists.into_iter().filter(|l| !l.is_empty()).collect();
-        match lists.len() {
-            0 => Vec::new(),
-            1 => lists.pop().expect("one list"),
-            _ => {
-                let total = lists.iter().map(Vec::len).sum();
-                let mut out = Vec::with_capacity(total);
-                // Heap entries: (canonical key, list index, position).
-                type MergeEntry<'a> = ((SimTime, &'a str, u64), usize, usize);
-                let mut heap: BinaryHeap<Reverse<MergeEntry<'_>>> = lists
-                    .iter()
-                    .enumerate()
-                    .map(|(li, list)| Reverse((canonical(&self.shards, list[0]), li, 0)))
-                    .collect();
-                while let Some(Reverse((_, li, pos))) = heap.pop() {
-                    out.push(lists[li][pos]);
-                    if let Some(&next) = lists[li].get(pos + 1) {
-                        heap.push(Reverse((canonical(&self.shards, next), li, pos + 1)));
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// Every dossier of one shard as canonical keys (sorted by construction:
-    /// stores keep dossiers in ascending seq / non-decreasing time order).
-    fn shard_keys(&self, shard: usize) -> Vec<DossierKey> {
-        self.store_for(shard)
-            .all()
-            .iter()
-            .map(|dossier| DossierKey {
-                at: dossier.at,
-                shard,
-                seq: dossier.seq,
-            })
-            .collect()
-    }
-
     /// Fleet-wide query answered through the most selective applicable index
-    /// (machine, then category, then severity floor, then time bucket), with
-    /// the remaining filters applied to the narrowed candidate set. Returns
-    /// exactly what [`IncidentWarehouse::linear_scan`] would, in the same
-    /// canonical order — single posting lists are used as-is, multi-list
-    /// candidates are merged, nothing is re-sorted. Spilled shards holding
-    /// matching dossiers are faulted back in transparently.
+    /// (the planner shared with the resident query plane: the smallest
+    /// machine, category, severity-floor or time-bucket candidate set, else
+    /// a scan), with the remaining filters applied to the narrowed
+    /// candidate set. Returns exactly what [`IncidentWarehouse::linear_scan`]
+    /// would, in the same canonical order — posting lists are kept sorted,
+    /// multi-list candidates are merged, nothing is re-sorted. Spilled
+    /// shards holding matching dossiers are faulted back in transparently.
     pub fn query(&self, query: &IncidentQuery) -> Vec<WarehouseHit<'_>> {
         // Wall-clock self-profiling wrapper: time the indexed path and file
         // the latency under "hot" (answered entirely from resident shards) or
@@ -738,7 +680,9 @@ impl IncidentWarehouse {
         // untouched; the timing never reaches the deterministic report.
         let faults_before = self.fault_ins.load(Ordering::Relaxed);
         let started = std::time::Instant::now();
-        let hits = self.query_indexed(query);
+        let (_, lists) = self.read_index().plan(query, None);
+        let keys = merge_sorted(lists, |shard| self.shards[shard].label.as_str());
+        let hits = self.hits(keys, query);
         let nanos = started.elapsed().as_nanos() as u64;
         if self.fault_ins.load(Ordering::Relaxed) > faults_before {
             self.query_faulted_nanos.record(nanos);
@@ -746,38 +690,6 @@ impl IncidentWarehouse {
             self.query_hot_nanos.record(nanos);
         }
         hits
-    }
-
-    /// The untimed indexed query path (see [`IncidentWarehouse::query`]).
-    fn query_indexed(&self, query: &IncidentQuery) -> Vec<WarehouseHit<'_>> {
-        let keys: Vec<DossierKey> = if let Some(machine) = query.machine {
-            self.by_machine.get(&machine).cloned().unwrap_or_default()
-        } else if let Some(category) = query.category {
-            self.by_category.get(&category).cloned().unwrap_or_default()
-        } else if let Some(floor) = query.min_severity {
-            self.merge_sorted(
-                Severity::ALL
-                    .iter()
-                    .filter(|severity| severity.is_at_least(floor))
-                    .map(|severity| self.by_severity.get(severity).cloned().unwrap_or_default())
-                    .collect(),
-            )
-        } else if let Some((from, to)) = query.window {
-            if from >= to {
-                return Vec::new();
-            }
-            // The bucket range is over-inclusive at both edges; the residual
-            // `query.matches` filter enforces the exact half-open window.
-            // Concatenation in ascending bucket order preserves the canonical
-            // order: bucket time ranges are disjoint and increasing.
-            self.by_bucket
-                .range(self.bucket_of(from)..=self.bucket_of(to))
-                .flat_map(|(_, keys)| keys.iter().copied())
-                .collect()
-        } else {
-            self.merge_sorted((0..self.shards.len()).map(|s| self.shard_keys(s)).collect())
-        };
-        self.hits(keys, query)
     }
 
     /// Wall-clock query-latency histograms in nanoseconds: `(hot, faulted)`,
@@ -841,26 +753,17 @@ impl IncidentWarehouse {
 
     /// Incident counts per severity class across the fleet.
     pub fn severity_counts(&self) -> BTreeMap<Severity, usize> {
-        self.by_severity
-            .iter()
-            .map(|(&severity, keys)| (severity, keys.len()))
-            .collect()
+        self.read_index().severity_counts(None)
     }
 
     /// Incident counts per category across the fleet.
     pub fn category_counts(&self) -> BTreeMap<FaultCategory, usize> {
-        self.by_category
-            .iter()
-            .map(|(&category, keys)| (category, keys.len()))
-            .collect()
+        self.read_index().category_counts(None)
     }
 
     /// Per-machine incident counts across the fleet (index-sized, no scan).
     pub fn machine_incident_counts(&self) -> BTreeMap<MachineId, usize> {
-        self.by_machine
-            .iter()
-            .map(|(&machine, keys)| (machine, keys.len()))
-            .collect()
+        self.read_index().machine_counts()
     }
 
     /// Mean and max resolution time per symptom in seconds, across every
@@ -939,7 +842,8 @@ impl IncidentWarehouse {
     /// [`IncidentWarehouse::export_json`], rebuilding every secondary index.
     /// The imported warehouse is fully in-memory (attach storage by
     /// re-ingesting into [`IncidentWarehouse::with_storage`] if spill is
-    /// wanted). Never panics on corrupt input.
+    /// wanted). Never panics on corrupt input: a shard whose dossiers go
+    /// back in seq or start time is an error at that dossier's path.
     pub fn import_json(text: &str) -> Result<IncidentWarehouse, CodecError> {
         let document = JsonValue::parse(text)?;
         check_format(&document, WAREHOUSE_FORMAT)?;
@@ -965,8 +869,16 @@ impl IncidentWarehouse {
                 ))
             }
         };
-        for (job, store) in &shards {
-            warehouse.ingest_store(job, store);
+        for (i, (job, store)) in shards.iter().enumerate() {
+            for (j, dossier) in store.all().iter().enumerate() {
+                if let Some(message) = warehouse.append_order_error(job, dossier) {
+                    return Err(CodecError {
+                        at: ErrorPosition::Path(format!("shards[{i}].store.dossiers[{j}]")),
+                        message,
+                    });
+                }
+                warehouse.insert_shared(job, Arc::clone(dossier));
+            }
         }
         Ok(warehouse)
     }
@@ -1099,13 +1011,6 @@ pub(crate) fn load_segment_at_least(
         )));
     }
     Ok(store)
-}
-
-/// The time-bucket index of a start time under a bucket width — shared by
-/// the warehouse's live index and the snapshot plane's rebuilt indexes, so
-/// the two can never drift.
-pub(crate) fn bucket_index_of(bucket_width: SimDuration, at: SimTime) -> u64 {
-    (at.as_secs_f64() / bucket_width.as_secs_f64()).floor() as u64
 }
 
 #[cfg(test)]
@@ -1450,6 +1355,33 @@ mod tests {
         assert!(IncidentWarehouse::import_json("{}").is_err());
         let foreign = exported.replace(WAREHOUSE_FORMAT, "not-a-warehouse");
         assert!(IncidentWarehouse::import_json(&foreign).is_err());
+    }
+
+    #[test]
+    fn import_rejects_a_shard_that_goes_back_in_time() {
+        let mut w = IncidentWarehouse::default();
+        w.insert("alpha", dossier(1, 1, FaultKind::CudaError, vec![]));
+        w.insert("alpha", dossier(2, 5, FaultKind::JobHang, vec![]));
+        let exported = w.export_json();
+        // Move the first dossier's start time past the second's.
+        let late = SimTime::from_hours(9).as_millis().to_string();
+        let early = SimTime::from_hours(1).as_millis().to_string();
+        let field = format!("\"at\":{early}");
+        assert!(exported.contains(&field), "export names the start time");
+        let corrupt = exported.replacen(&field, &format!("\"at\":{late}"), 1);
+        let err = IncidentWarehouse::import_json(&corrupt).expect_err("out-of-order shard");
+        assert_eq!(
+            err.at,
+            ErrorPosition::Path("shards[0].store.dossiers[1]".to_string())
+        );
+        assert!(err.message.contains("#2"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending seq / non-decreasing time")]
+    fn an_insert_that_goes_back_in_time_panics() {
+        let mut w = warehouse();
+        w.insert("beta", dossier(3, 29, FaultKind::JobHang, vec![]));
     }
 
     #[test]

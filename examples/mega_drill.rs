@@ -175,7 +175,7 @@ fn main() {
     }
 
     eprintln!(
-        "mega drill: {} job(s), {} machine(s), {} event(s), fleet ETTR {:.1}s",
+        "mega drill: {} job(s), {} machine(s), {} event(s), fleet ETTR {:.4}",
         report.jobs.len(),
         runner.config().total_machines(),
         report.events_processed,

@@ -17,9 +17,6 @@
 //! let report = JobLifecycle::new(config, 7).run();
 //! assert!(report.ettr.cumulative_ettr() > 0.5);
 //! ```
-//!
-//! See `DESIGN.md` for the system inventory and the per-experiment index, and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
 
 pub use byterobust_agent as agent;
 pub use byterobust_analyzer as analyzer;
